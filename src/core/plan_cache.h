@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "exec/runtime_env.h"
 #include "logical/plan.h"
@@ -27,10 +28,13 @@ namespace core {
 /// optimized plan is cheap and always safe. What the cache skips is the
 /// optimizer pass — the dominant cost of planning repeated templates.
 ///
-/// Entries are invalidated wholesale via Invalidate() on catalog or
-/// config changes; SessionContext folds a catalog epoch + config
-/// fingerprint into the key as well, so stale hits are impossible even
-/// if an invalidation is missed. Counters go to the shared
+/// The key also carries the identity of every provider the plan's scans
+/// resolved to (a scan serializes only its table name), so a plan
+/// resolved before its table was replaced can never answer for the new
+/// table. Each entry holds those providers, so no address in a live key
+/// can be reused. Replacing or dropping a table evicts only the entries
+/// that scan it; Invalidate() drops everything (catalog swap, or a
+/// provider mutated in place). Counters go to the shared
 /// exec::PlanCacheStats so the exec-layer footer can render them.
 class PlanCache {
  public:
@@ -39,18 +43,28 @@ class PlanCache {
 
   /// Cached optimized plan for `key`, or nullptr. Counts hit/miss.
   logical::PlanPtr Get(const std::string& key);
-  void Put(const std::string& key, logical::PlanPtr plan);
-  /// Drop everything (catalog/config change).
+  /// `scans` are the providers the plan's table scans resolved to.
+  void Put(const std::string& key, logical::PlanPtr plan,
+           std::vector<catalog::TableProviderPtr> scans);
+  /// Drop the entries that scan `provider` (its table was replaced or
+  /// dropped); counts one invalidation when any entry goes.
+  void Evict(const catalog::TableProvider* provider);
+  /// Drop everything.
   void Invalidate();
   size_t entries() const;
 
  private:
+  struct Entry {
+    logical::PlanPtr plan;
+    std::vector<catalog::TableProviderPtr> scans;
+    std::list<std::string>::iterator lru_pos;
+  };
+
   const size_t capacity_;
   exec::PlanCacheStatsPtr stats_;
 
   mutable std::mutex mu_;
-  std::map<std::string, std::pair<logical::PlanPtr,
-                                  std::list<std::string>::iterator>> entries_;
+  std::map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // most recent at front
 };
 

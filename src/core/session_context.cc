@@ -27,24 +27,26 @@ std::shared_ptr<SessionContext> SessionContext::Make(exec::SessionConfig config,
 
 void SessionContext::SetCatalogProvider(catalog::CatalogProviderPtr catalog) {
   catalog_ = std::move(catalog);
-  catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
   plan_cache_.Invalidate();
 }
 
+// Cached plans are keyed on the providers they scan, so a replaced table
+// can never be served from the cache; evicting the plans over the old
+// provider only frees them (and the provider) early.
 Status SessionContext::RegisterTable(const std::string& name,
                                      catalog::TableProviderPtr table) {
   FUSION_ASSIGN_OR_RAISE(auto schema, catalog_->GetSchema("public"));
+  auto replaced = schema->GetTable(name);
   FUSION_RETURN_NOT_OK(schema->RegisterTable(name, std::move(table)));
-  catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
-  plan_cache_.Invalidate();
+  if (replaced.ok()) plan_cache_.Evict(replaced->get());
   return Status::OK();
 }
 
 Status SessionContext::DeregisterTable(const std::string& name) {
   FUSION_ASSIGN_OR_RAISE(auto schema, catalog_->GetSchema("public"));
+  auto dropped = schema->GetTable(name);
   FUSION_RETURN_NOT_OK(schema->DeregisterTable(name));
-  catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
-  plan_cache_.Invalidate();
+  if (dropped.ok()) plan_cache_.Evict(dropped->get());
   return Status::OK();
 }
 
@@ -117,22 +119,24 @@ std::string SessionContext::ConfigFingerprint() const {
 Result<logical::PlanPtr> SessionContext::OptimizeCached(
     const logical::PlanPtr& plan) {
   if (config_.plan_cache_entries <= 0) return optimizer_.Optimize(plan);
-  auto serialized = logical::SerializePlan(plan);
+  std::vector<catalog::TableProviderPtr> scans;
+  auto serialized = logical::SerializePlan(plan, &scans);
   if (!serialized.ok()) {
     // Plans that cannot round-trip (exotic nodes) just skip the cache.
     return optimizer_.Optimize(plan);
   }
-  std::string key;
-  key.reserve(serialized->size() + 32);
-  key += std::to_string(catalog_epoch_.load(std::memory_order_relaxed));
+  std::string key = ConfigFingerprint();
   key += '|';
-  key += ConfigFingerprint();
+  for (const auto& provider : scans) {
+    const void* identity = provider.get();
+    key.append(reinterpret_cast<const char*>(&identity), sizeof(identity));
+  }
   key += '|';
   key.append(reinterpret_cast<const char*>(serialized->data()),
              serialized->size());
   if (auto cached = plan_cache_.Get(key)) return cached;
   FUSION_ASSIGN_OR_RAISE(auto optimized, optimizer_.Optimize(plan));
-  plan_cache_.Put(key, optimized);
+  plan_cache_.Put(key, optimized, std::move(scans));
   return optimized;
 }
 

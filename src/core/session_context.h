@@ -178,9 +178,10 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
   exec::SessionConfig& config() { return config_; }
   const exec::RuntimeEnvPtr& env() const { return env_; }
 
-  /// The session's logical-plan cache (see core/plan_cache.h). Flushed
-  /// automatically on catalog changes; call InvalidatePlanCache() after
-  /// out-of-band changes (e.g. mutating a provider in place).
+  /// The session's logical-plan cache (see core/plan_cache.h). Replacing
+  /// or dropping a table evicts the plans that scan it; call
+  /// InvalidatePlanCache() after out-of-band changes (e.g. mutating a
+  /// provider in place).
   PlanCache* plan_cache() { return &plan_cache_; }
   void InvalidatePlanCache() { plan_cache_.Invalidate(); }
 
@@ -194,8 +195,8 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
   SessionContext(exec::SessionConfig config, exec::RuntimeEnvPtr env);
 
   /// Optimize `plan` through the plan cache: serialized-plan key + the
-  /// catalog epoch + a config fingerprint. Falls back to a plain
-  /// optimize whenever the plan cannot be serialized.
+  /// identities of the scanned providers + a config fingerprint. Falls
+  /// back to a plain optimize whenever the plan cannot be serialized.
   Result<logical::PlanPtr> OptimizeCached(const logical::PlanPtr& plan);
   /// Admission gate: derive limits from config and block/reject per the
   /// scheduler's admission policy.
@@ -211,8 +212,6 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
   logical::FunctionRegistryPtr registry_;
   optimizer::Optimizer optimizer_;
   std::atomic<int64_t> next_query_id_{0};
-  /// Bumped on every catalog mutation; part of the plan-cache key.
-  std::atomic<int64_t> catalog_epoch_{0};
   PlanCache plan_cache_;
 };
 

@@ -306,6 +306,10 @@ uint64_t TaskGroup::NextHelpGen() {
 void QueryScheduler::WorkerLoop() {
   for (;;) {
     TaskCtlPtr ctl;
+    // A group popped with no ready task may hold the last reference to
+    // a finished query's group, whose destructor takes mu_: such groups
+    // are released only after the lock is.
+    std::vector<TaskGroupPtr> drained;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [this] { return shutdown_ || ready_count_ > 0; });
@@ -319,8 +323,10 @@ void QueryScheduler::WorkerLoop() {
         if (group == nullptr) continue;  // query finished; stale entry
         if (group->ready_.empty()) {
           group->in_run_queue_ = false;
+          drained.push_back(std::move(group));
           continue;
         }
+        // ctl->group keeps the group alive past this scope.
         ctl = std::move(group->ready_.front());
         group->ready_.pop_front();
         --ready_count_;

@@ -24,6 +24,9 @@ class Writer {
   }
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
+  /// When set, receives the provider of every table scan written.
+  std::vector<catalog::TableProviderPtr>* scans = nullptr;
+
  private:
   std::vector<uint8_t> buf_;
 };
@@ -231,6 +234,9 @@ Status WritePlanTree(Writer* w, const PlanPtr& plan) {
     FUSION_RETURN_NOT_OK(WritePlanTree(w, c));
   }
   w->Str(plan->table_name);
+  if (plan->kind == PlanKind::kTableScan && w->scans != nullptr) {
+    w->scans->push_back(plan->provider);
+  }
   w->U32(static_cast<uint32_t>(plan->scan_projection.size()));
   for (int i : plan->scan_projection) w->U32(static_cast<uint32_t>(i));
   w->U32(static_cast<uint32_t>(plan->scan_filters.size()));
@@ -499,8 +505,10 @@ Result<PlanPtr> ReadPlanTree(Reader* r, const DeserializeContext& ctx) {
 
 }  // namespace
 
-Result<std::vector<uint8_t>> SerializePlan(const PlanPtr& plan) {
+Result<std::vector<uint8_t>> SerializePlan(
+    const PlanPtr& plan, std::vector<catalog::TableProviderPtr>* scans) {
   Writer w;
+  w.scans = scans;
   FUSION_RETURN_NOT_OK(WritePlanTree(&w, plan));
   return w.Take();
 }

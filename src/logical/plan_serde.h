@@ -17,8 +17,10 @@ namespace logical {
 /// the receiving side resolves providers through its own catalog, and
 /// function invocations are rebound against the receiver's registry —
 /// exactly the contract a distributed scheduler needs to ship plan
-/// fragments to workers.
-Result<std::vector<uint8_t>> SerializePlan(const PlanPtr& plan);
+/// fragments to workers. `scans`, when given, receives the provider of
+/// every table scan in the plan, subqueries included.
+Result<std::vector<uint8_t>> SerializePlan(
+    const PlanPtr& plan, std::vector<catalog::TableProviderPtr>* scans = nullptr);
 
 Result<PlanPtr> DeserializePlan(const uint8_t* data, size_t size,
                                 const TableResolver& resolver,
