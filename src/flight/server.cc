@@ -1,5 +1,6 @@
 #include "flight/server.h"
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -162,46 +163,46 @@ void FlightServer::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener closed or fatal
     }
-    ConfigureStreamSocket(fd);
-    if (draining_.load()) {
-      ::close(fd);
-      return;
-    }
-    // Scripted accept fault: the connection is dropped as if the
-    // network setup failed (clients see a reset; tests assert cleanup).
-    if (!FaultInjector::Maybe("flight.accept").ok()) {
-      refused_.fetch_add(1);
-      ::close(fd);
-      continue;
-    }
-    ReapFinishedSessions();
-    if (active_sessions_.load() >= options_.max_connections) {
-      refused_.fetch_add(1);
-      Socket refuse(fd, "flight");
-      refuse.SendFrame(FrameType::kError, 0,
-                       EncodeError(Status::ResourcesExhausted(
-                           "flight: connection limit reached")));
-      continue;  // Socket dtor closes fd
-    }
-    accepted_.fetch_add(1);
-    auto session = std::make_unique<Session>();
-    session->id = next_session_id_.fetch_add(1);
-    session->socket = Socket(fd, "flight");
-    session->reservation = std::make_unique<exec::MemoryReservation>(
-        session_ctx_->env()->memory_pool,
-        "flight.session." + std::to_string(session->id));
-    Session* raw = session.get();
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      int64_t active = active_sessions_.fetch_add(1) + 1;
-      int64_t peak = peak_sessions_.load();
-      while (active > peak && !peak_sessions_.compare_exchange_weak(peak, active)) {
-      }
-      sessions_.push_back(std::move(session));
-    }
-    raw->writer = std::thread([this, raw] { WriterLoop(raw); });
-    raw->handler = std::thread([this, raw] { RunSession(raw); });
+    Admit(fd);
   }
+}
+
+void FlightServer::Admit(int fd) {
+  ConfigureStreamSocket(fd);
+  // Scripted accept fault: the connection is dropped as if the network
+  // setup failed (clients see a reset; tests assert cleanup).
+  if (!FaultInjector::Maybe("flight.accept").ok()) {
+    refused_.fetch_add(1);
+    ::close(fd);
+    return;
+  }
+  ReapFinishedSessions();
+  if (active_sessions_.load() >= options_.max_connections) {
+    refused_.fetch_add(1);
+    Socket refuse(fd, "flight");
+    refuse.SendFrame(FrameType::kError, 0,
+                     EncodeError(Status::ResourcesExhausted(
+                         "flight: connection limit reached")));
+    return;  // Socket dtor closes fd
+  }
+  accepted_.fetch_add(1);
+  auto session = std::make_unique<Session>();
+  session->id = next_session_id_.fetch_add(1);
+  session->socket = Socket(fd, "flight");
+  session->reservation = std::make_unique<exec::MemoryReservation>(
+      session_ctx_->env()->memory_pool,
+      "flight.session." + std::to_string(session->id));
+  Session* raw = session.get();
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    int64_t active = active_sessions_.fetch_add(1) + 1;
+    int64_t peak = peak_sessions_.load();
+    while (active > peak && !peak_sessions_.compare_exchange_weak(peak, active)) {
+    }
+    sessions_.push_back(std::move(session));
+  }
+  raw->writer = std::thread([this, raw] { WriterLoop(raw); });
+  raw->handler = std::thread([this, raw] { RunSession(raw); });
 }
 
 void FlightServer::ReapFinishedSessions() {
@@ -592,6 +593,15 @@ DrainResult FlightServer::Shutdown(int64_t drain_timeout_ms) {
     shut_down_ = true;
   }
   draining_.store(true);
+  // Admit the connections already completed in the accept backlog:
+  // shutting the listener down would reset them, requests already sent
+  // included. They drain below like every other session.
+  if (::fcntl(listener_.fd(), F_SETFL,
+              ::fcntl(listener_.fd(), F_GETFL) | O_NONBLOCK) == 0) {
+    for (int fd; (fd = ::accept(listener_.fd(), nullptr, nullptr)) >= 0;) {
+      Admit(fd);
+    }
+  }
   // Stop accepting: wake the blocked accept() and join the listener.
   listener_.ShutdownBoth();
   if (accept_thread_.joinable()) accept_thread_.join();

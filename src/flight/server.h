@@ -91,9 +91,10 @@ struct DrainResult {
 /// group and releases every memory reservation — no leaked pool bytes,
 /// consumers, or threads.
 ///
-/// Shutdown(drain_ms) is the graceful drain: stop accepting, let
-/// in-flight queries finish (up to the deadline), flush send queues,
-/// then cancel stragglers and join everything.
+/// Shutdown(drain_ms) is the graceful drain: admit the connections
+/// already in the accept backlog and stop accepting, serve requests
+/// already sent and let in-flight queries finish (up to the deadline),
+/// flush send queues, then cancel stragglers and join everything.
 class FlightServer {
  public:
   /// Bind, listen and start the accept loop.
@@ -117,6 +118,9 @@ class FlightServer {
   FlightServer(core::SessionContextPtr session, FlightServerOptions options);
 
   void AcceptLoop();
+  /// Turn an accepted connection into a session, or refuse it (scripted
+  /// accept fault, connection limit).
+  void Admit(int fd);
   void RunSession(Session* session);
   void WriterLoop(Session* session);
   void ReapFinishedSessions();

@@ -32,17 +32,65 @@ Status Reader::ReadAt(uint64_t offset, uint64_t size, uint8_t* out) const {
   return Status::OK();
 }
 
+namespace {
+
+/// Footer extents that later reads trust, checked once at Open without
+/// forming any sum before its parts are bounded. The chunk and its
+/// Bloom filter lie in the data section [0, data_end), the dictionary
+/// and every page lie in the chunk, and the pages tile the row group's
+/// rows in order at no more than 8 rows per page byte (every encoding
+/// spends at least a bit per row), which also bounds the row count.
+Status ValidateChunk(const ColumnChunkMeta& chunk, DataType type,
+                     uint64_t rg_rows, uint64_t data_end) {
+  if (chunk.encoding != Encoding::kPlain &&
+      !(chunk.encoding == Encoding::kDictionary && type.id() == TypeId::kString)) {
+    return Status::IOError("fpq: invalid column chunk encoding");
+  }
+  if (chunk.size > data_end || chunk.offset > data_end - chunk.size) {
+    return Status::IOError("fpq: column chunk outside the file");
+  }
+  if (chunk.dict_size > chunk.size) {
+    return Status::IOError("fpq: dictionary outside its column chunk");
+  }
+  if (chunk.bloom_size > 0) {
+    // Bloom filters are power-of-two counts of 32-byte blocks.
+    const uint64_t blocks = chunk.bloom_size / 32;
+    if (chunk.bloom_size % 32 != 0 || (blocks & (blocks - 1)) != 0 ||
+        chunk.bloom_size > data_end ||
+        chunk.bloom_offset > data_end - chunk.bloom_size) {
+      return Status::IOError("fpq: malformed Bloom filter extent");
+    }
+  }
+  const uint64_t page_bytes = chunk.size - chunk.dict_size;
+  uint64_t next_row = 0;
+  for (const PageMeta& page : chunk.pages) {
+    if (page.offset > page_bytes || page.size > page_bytes - page.offset) {
+      return Status::IOError("fpq: page outside its column chunk");
+    }
+    const auto first = static_cast<uint64_t>(page.first_row);
+    const auto rows = static_cast<uint64_t>(page.num_rows);
+    if (first != next_row || rows > rg_rows - next_row || rows / 8 > page.size) {
+      return Status::IOError("fpq: pages do not tile the row group");
+    }
+    next_row += rows;
+  }
+  if (next_row != rg_rows) {
+    return Status::IOError("fpq: pages do not tile the row group");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::shared_ptr<Reader>> Reader::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::IOError("fpq: cannot open " + path);
+  // Owns fd from here on, so every error return below closes it.
+  auto reader = std::shared_ptr<Reader>(new Reader(path, fd, FileMeta{}));
   off_t file_size = ::lseek(fd, 0, SEEK_END);
-  if (file_size < 12) {
-    ::close(fd);
-    return Status::IOError("fpq: file too small: " + path);
-  }
+  if (file_size < 12) return Status::IOError("fpq: file too small: " + path);
   uint8_t tail[12];
   if (::pread(fd, tail, 12, file_size - 12) != 12) {
-    ::close(fd);
     return Status::IOError("fpq: cannot read trailer: " + path);
   }
   uint64_t footer_len;
@@ -50,32 +98,36 @@ Result<std::shared_ptr<Reader>> Reader::Open(const std::string& path) {
   std::memcpy(&footer_len, tail, 8);
   std::memcpy(&magic, tail + 8, 4);
   if (magic != kMagic && magic != kMagicV2) {
-    ::close(fd);
     return Status::IOError("fpq: bad magic in " + path);
   }
+  if (footer_len > static_cast<uint64_t>(file_size) - 12) {
+    return Status::IOError("fpq: footer longer than the file: " + path);
+  }
+  const uint64_t data_end = static_cast<uint64_t>(file_size) - 12 - footer_len;
   const bool has_ndv = (magic == kMagicV2);
   std::vector<uint8_t> footer(footer_len);
-  if (::pread(fd, footer.data(), footer_len,
-              file_size - 12 - static_cast<off_t>(footer_len)) !=
+  if (::pread(fd, footer.data(), footer_len, static_cast<off_t>(data_end)) !=
       static_cast<ssize_t>(footer_len)) {
-    ::close(fd);
     return Status::IOError("fpq: cannot read footer: " + path);
   }
 
   ByteReader r(footer.data(), footer.size());
-  FileMeta meta;
+  FileMeta& meta = reader->meta_;
   FUSION_ASSIGN_OR_RAISE(uint32_t num_fields, r.U32());
   std::vector<Field> fields;
   for (uint32_t i = 0; i < num_fields; ++i) {
     FUSION_ASSIGN_OR_RAISE(std::string name, r.Str());
     FUSION_ASSIGN_OR_RAISE(uint8_t type_id, r.U8());
     FUSION_ASSIGN_OR_RAISE(uint8_t nullable, r.U8());
+    // kDictionary is an array encoding, never a stored field type.
+    if (type_id >= static_cast<uint8_t>(TypeId::kDictionary)) {
+      return Status::IOError("fpq: invalid field type id in " + path);
+    }
     DataType type(static_cast<TypeId>(type_id));
     if (static_cast<TypeId>(type_id) == TypeId::kDecimal128) {
       FUSION_ASSIGN_OR_RAISE(uint8_t precision, r.U8());
       FUSION_ASSIGN_OR_RAISE(uint8_t scale, r.U8());
       if (!ValidDecimalParams(precision, scale)) {
-        ::close(fd);
         return Status::IOError("fpq: invalid decimal parameters in " + path);
       }
       type = decimal128(precision, scale);
@@ -125,11 +177,11 @@ Result<std::shared_ptr<Reader>> Reader::Open(const std::string& path) {
         page.stats.row_count = page.num_rows;
         chunk.pages.push_back(std::move(page));
       }
+      FUSION_RETURN_NOT_OK(ValidateChunk(chunk, type, rg_rows, data_end));
       rg.columns.push_back(std::move(chunk));
     }
     meta.row_groups.push_back(std::move(rg));
   }
-  auto reader = std::shared_ptr<Reader>(new Reader(path, fd, std::move(meta)));
   // Cache identity: path + size + mtime, so decoded-batch cache keys go
   // stale the moment the file is rewritten in place.
   struct stat st {};
@@ -180,11 +232,18 @@ namespace {
 Result<ArrayPtr> DecodePlainPage(DataType type, int64_t n, const uint8_t* data,
                                  size_t size) {
   ByteReader r(data, size);
+  // Size each buffer against the page bytes before allocating it.
+  auto need = [&r](int64_t bytes) {
+    return static_cast<uint64_t>(bytes) > r.remaining()
+               ? Status::IOError("fpq: truncated page")
+               : Status::OK();
+  };
   FUSION_ASSIGN_OR_RAISE(uint8_t has_validity, r.U8());
   BufferPtr validity;
   int64_t nulls = 0;
   if (has_validity) {
     int64_t vbytes = bit_util::BytesForBits(n);
+    FUSION_RETURN_NOT_OK(need(vbytes));
     validity = std::make_shared<Buffer>(vbytes);
     FUSION_RETURN_NOT_OK(r.Raw(validity->mutable_data(), vbytes));
     nulls = n - bit_util::CountSetBits(validity->data(), n);
@@ -192,15 +251,18 @@ Result<ArrayPtr> DecodePlainPage(DataType type, int64_t n, const uint8_t* data,
   switch (type.id()) {
     case TypeId::kBool: {
       int64_t vbytes = bit_util::BytesForBits(n);
+      FUSION_RETURN_NOT_OK(need(vbytes));
       auto values = std::make_shared<Buffer>(vbytes);
       FUSION_RETURN_NOT_OK(r.Raw(values->mutable_data(), vbytes));
       return ArrayPtr(std::make_shared<BooleanArray>(n, std::move(values),
                                                      std::move(validity), nulls));
     }
     case TypeId::kString: {
+      FUSION_RETURN_NOT_OK(need((n + 1) * 4));
       auto offsets = std::make_shared<Buffer>((n + 1) * 4);
       FUSION_RETURN_NOT_OK(r.Raw(offsets->mutable_data(), (n + 1) * 4));
       FUSION_ASSIGN_OR_RAISE(uint64_t data_len, r.U64());
+      if (data_len > r.remaining()) return Status::IOError("fpq: truncated page");
       auto bytes = std::make_shared<Buffer>(static_cast<int64_t>(data_len));
       FUSION_RETURN_NOT_OK(r.Raw(bytes->mutable_data(), data_len));
       return ArrayPtr(std::make_shared<StringArray>(n, std::move(offsets),
@@ -209,6 +271,7 @@ Result<ArrayPtr> DecodePlainPage(DataType type, int64_t n, const uint8_t* data,
     }
     default: {
       int width = type.byte_width();
+      FUSION_RETURN_NOT_OK(need(n * width));
       auto values = std::make_shared<Buffer>(n * width);
       FUSION_RETURN_NOT_OK(r.Raw(values->mutable_data(), n * width));
       if (width == 4) {
@@ -256,6 +319,8 @@ std::shared_ptr<StringArray> BuildSharedDict(
 Result<std::vector<std::string_view>> ParseDict(const uint8_t* data, size_t size) {
   ByteReader r(data, size);
   FUSION_ASSIGN_OR_RAISE(uint32_t count, r.U32());
+  // Every entry carries a 4-byte length: bound count before reserving.
+  if (count > r.remaining() / 4) return Status::IOError("fpq: truncated dict");
   std::vector<std::string_view> dict;
   dict.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

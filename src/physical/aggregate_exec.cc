@@ -288,12 +288,10 @@ Result<exec::StreamPtr> HashAggregateExec::ExecuteImpl(int partition,
     }
   }
 
-  const bool partial_output = mode_ == AggregateMode::kPartial && spill_files.empty();
   // If we spilled in partial mode, the merged state is already final-
   // grade partial state; emitting partial is still correct.
   FUSION_ASSIGN_OR_RAISE(auto out_batches,
                          emit(*state, mode_ == AggregateMode::kPartial));
-  (void)partial_output;
   return exec::StreamPtr(
       std::make_unique<exec::VectorStream>(schema, std::move(out_batches)));
 }
@@ -542,8 +540,8 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx) {
       }
 
       // Bypass: every row becomes its own group of one; serialize the
-      // per-row partial state and radix-split by key hash so the merge
-      // phase can route rows without a repartition exchange.
+      // per-row partial state and radix-split it by key hash so each
+      // merge partition reads only its own bucket.
       bypass_rows->Add(n);
       FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
       std::vector<ArrayPtr> columns = keys;
@@ -853,9 +851,7 @@ Result<exec::StreamPtr> PartitionedAggregateExec::ExecuteImpl(
 }
 
 std::string StreamingAggregateExec::ToStringLine() const {
-  std::string out = "StreamingAggregateExec(";
-  out += mode_ == AggregateMode::kPartial ? "partial" : "single";
-  out += "): groups=[";
+  std::string out = "StreamingAggregateExec(single): groups=[";
   for (size_t i = 0; i < group_names_.size(); ++i) {
     if (i > 0) out += ", ";
     out += group_names_[i];
@@ -869,7 +865,6 @@ Result<exec::StreamPtr> StreamingAggregateExec::ExecuteImpl(int partition,
   FUSION_ASSIGN_OR_RAISE(auto input_stream, input_->Execute(partition, ctx));
   auto input = std::shared_ptr<exec::RecordBatchStream>(std::move(input_stream));
   SchemaPtr schema = schema_;
-  const bool partial = mode_ == AggregateMode::kPartial;
   auto group_exprs = group_exprs_;
   auto aggregates = aggregates_;
   int64_t batch_size = ctx->config.batch_size;
@@ -911,22 +906,15 @@ Result<exec::StreamPtr> StreamingAggregateExec::ExecuteImpl(int partition,
 
   // Close the in-flight group: append its key + results to the output
   // builders.
-  auto flush_current = [state, partial]() -> Status {
+  auto flush_current = [state]() -> Status {
     if (!state->has_current) return Status::OK();
     size_t col = 0;
     for (const auto& key : state->current_key_arrays) {
       state->out_builders[col++]->AppendFrom(*key, 0);
     }
     for (auto& acc : state->accumulators) {
-      if (partial) {
-        FUSION_ASSIGN_OR_RAISE(auto cols, acc->PartialState());
-        for (const auto& c : cols) {
-          state->out_builders[col++]->AppendFrom(*c, 0);
-        }
-      } else {
-        FUSION_ASSIGN_OR_RAISE(auto c, acc->Finish());
-        state->out_builders[col++]->AppendFrom(*c, 0);
-      }
+      FUSION_ASSIGN_OR_RAISE(auto c, acc->Finish());
+      state->out_builders[col++]->AppendFrom(*c, 0);
     }
     state->has_current = false;
     state->accumulators.clear();

@@ -10,7 +10,7 @@ namespace physical {
 /// Phase of a (possibly two-phase) aggregation (paper §6.3).
 enum class AggregateMode {
   kPartial,  ///< per-partition pre-aggregation emitting partial state
-  kFinal,    ///< merges partial state (after hash repartitioning)
+  kFinal,    ///< merges the coalesced partial state
   kSingle,   ///< one-shot aggregation (single partition input)
 };
 
@@ -26,10 +26,11 @@ struct AggregateInfo {
   std::vector<int> state_columns;
 };
 
-/// \brief Two-phase parallel partitioned hash aggregation (paper §6.3):
-/// vectorized group-key encoding + accumulator updates, spill-to-disk
-/// when the memory budget is exceeded, and a streaming fast path for
-/// input already ordered on the group keys.
+/// \brief Hash aggregation of one input stream per partition (paper
+/// §6.3): kSingle over a single stream, or the kPartial/kFinal pair of a
+/// global (no-group) aggregate, whose partials are coalesced into one
+/// final merge. Vectorized group-key encoding + accumulator updates, and
+/// spill-to-disk when the memory budget is exceeded.
 class HashAggregateExec : public ExecutionPlan {
  public:
   HashAggregateExec(ExecPlanPtr input, AggregateMode mode,
@@ -128,12 +129,12 @@ class PartitionedAggregateExec : public ExecutionPlan {
 /// regardless of group cardinality.
 class StreamingAggregateExec : public ExecutionPlan {
  public:
-  StreamingAggregateExec(ExecPlanPtr input, AggregateMode mode,
+  StreamingAggregateExec(ExecPlanPtr input,
                          std::vector<PhysicalExprPtr> group_exprs,
                          std::vector<std::string> group_names,
                          std::vector<AggregateInfo> aggregates,
                          SchemaPtr output_schema)
-      : input_(std::move(input)), mode_(mode), group_exprs_(std::move(group_exprs)),
+      : input_(std::move(input)), group_exprs_(std::move(group_exprs)),
         group_names_(std::move(group_names)), aggregates_(std::move(aggregates)),
         schema_(std::move(output_schema)) {}
 
@@ -156,7 +157,6 @@ class StreamingAggregateExec : public ExecutionPlan {
 
  private:
   ExecPlanPtr input_;
-  AggregateMode mode_;
   std::vector<PhysicalExprPtr> group_exprs_;
   std::vector<std::string> group_names_;
   std::vector<AggregateInfo> aggregates_;

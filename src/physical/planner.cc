@@ -250,8 +250,8 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanScan(const PlanPtr& plan) {
   // Ordered providers keep static splits (stealing interleaves chunks
   // and would void the per-partition ordering); limited scans too (a
   // morsel per unit would re-apply the limit per chunk).
-  if (ctx_->config.enable_morsel_scan && ctx_->config.target_partitions > 1 &&
-      plan->scan_limit < 0 && plan->provider->sort_order().empty()) {
+  if (ctx_->config.target_partitions > 1 && plan->scan_limit < 0 &&
+      plan->provider->sort_order().empty()) {
     request.max_morsels = ctx_->config.target_partitions * 4;
   }
   if (ctx_->config.enable_predicate_pushdown) {
@@ -370,8 +370,8 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanAggregate(const PlanPtr& plan) {
     ExecPlanPtr single_input = CoalesceToOne(std::move(input));
     if (groups_ordered(single_input)) {
       return ExecPlanPtr(std::make_shared<StreamingAggregateExec>(
-          std::move(single_input), AggregateMode::kSingle, group_exprs,
-          group_names, aggregates, final_schema));
+          std::move(single_input), group_exprs, group_names, aggregates,
+          final_schema));
     }
     // Single-phase over a single stream.
     return ExecPlanPtr(std::make_shared<HashAggregateExec>(
@@ -381,21 +381,18 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanAggregate(const PlanPtr& plan) {
 
   // Grouped two-phase: merge thread-local GroupTable state through a
   // radix partition of the stored key hashes (no row-level repartition
-  // exchange, no key re-encode). The repartition pipeline below remains
-  // as the ablation fallback and serves global (no-group) aggregates.
-  if (!group_exprs.empty() && ctx_->config.enable_partitioned_aggregation) {
+  // exchange, no key re-encode).
+  if (!group_exprs.empty()) {
     return ExecPlanPtr(std::make_shared<PartitionedAggregateExec>(
         std::move(input), group_exprs, group_names, aggregates, final_schema,
         ctx_->config.target_partitions));
   }
 
-  // Partial schema: group columns followed by each aggregate's state.
+  // Global aggregate: per-partition partial state (one row each),
+  // coalesced into a single final merge.
   std::vector<Field> partial_fields;
-  for (size_t g = 0; g < group_exprs.size(); ++g) {
-    partial_fields.emplace_back(group_names[g], group_exprs[g]->type(), true);
-  }
   std::vector<AggregateInfo> final_aggs = aggregates;
-  int state_col = static_cast<int>(group_exprs.size());
+  int state_col = 0;
   for (size_t a = 0; a < aggregates.size(); ++a) {
     FUSION_ASSIGN_OR_RAISE(auto acc,
                            aggregates[a].function->create(aggregates[a].arg_types));
@@ -410,31 +407,9 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanAggregate(const PlanPtr& plan) {
   ExecPlanPtr partial = std::make_shared<HashAggregateExec>(
       std::move(input), AggregateMode::kPartial, group_exprs, group_names,
       aggregates, partial_schema);
-
-  ExecPlanPtr distributed;
-  if (group_exprs.empty()) {
-    distributed = CoalesceToOne(std::move(partial));
-  } else {
-    // Hash-repartition on the group keys (now the leading columns).
-    std::vector<PhysicalExprPtr> keys;
-    for (size_t g = 0; g < group_exprs.size(); ++g) {
-      keys.push_back(std::make_shared<ColumnExpr>(
-          group_names[g], static_cast<int>(g), group_exprs[g]->type()));
-    }
-    distributed = std::make_shared<RepartitionExec>(
-        std::move(partial), ctx_->config.target_partitions,
-        RepartitionExec::Mode::kHash, std::move(keys));
-  }
-
-  // Final-mode group exprs reference the leading partial columns.
-  std::vector<PhysicalExprPtr> final_groups;
-  for (size_t g = 0; g < group_exprs.size(); ++g) {
-    final_groups.push_back(std::make_shared<ColumnExpr>(
-        group_names[g], static_cast<int>(g), group_exprs[g]->type()));
-  }
   return ExecPlanPtr(std::make_shared<HashAggregateExec>(
-      std::move(distributed), AggregateMode::kFinal, final_groups, group_names,
-      final_aggs, final_schema));
+      CoalesceToOne(std::move(partial)), AggregateMode::kFinal, group_exprs,
+      group_names, final_aggs, final_schema));
 }
 
 Result<ExecPlanPtr> PhysicalPlanner::PlanDistinct(const PlanPtr& plan) {
@@ -448,21 +423,9 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanDistinct(const PlanPtr& plan) {
     group_names.push_back(schema->field(i).name());
   }
   if (input->output_partitions() > 1) {
-    if (ctx_->config.enable_partitioned_aggregation && !group_exprs.empty()) {
-      return ExecPlanPtr(std::make_shared<PartitionedAggregateExec>(
-          std::move(input), group_exprs, group_names,
-          std::vector<AggregateInfo>{}, schema, ctx_->config.target_partitions));
-    }
-    ExecPlanPtr partial = std::make_shared<HashAggregateExec>(
-        std::move(input), AggregateMode::kPartial, group_exprs, group_names,
-        std::vector<AggregateInfo>{}, schema);
-    std::vector<PhysicalExprPtr> keys = group_exprs;
-    ExecPlanPtr repart = std::make_shared<RepartitionExec>(
-        std::move(partial), ctx_->config.target_partitions,
-        RepartitionExec::Mode::kHash, std::move(keys));
-    return ExecPlanPtr(std::make_shared<HashAggregateExec>(
-        std::move(repart), AggregateMode::kFinal, group_exprs, group_names,
-        std::vector<AggregateInfo>{}, schema));
+    return ExecPlanPtr(std::make_shared<PartitionedAggregateExec>(
+        std::move(input), group_exprs, group_names, std::vector<AggregateInfo>{},
+        schema, ctx_->config.target_partitions));
   }
   return ExecPlanPtr(std::make_shared<HashAggregateExec>(
       std::move(input), AggregateMode::kSingle, group_exprs, group_names,

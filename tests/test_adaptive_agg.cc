@@ -1,5 +1,5 @@
 // Adaptive two-phase partitioned aggregation: randomized oracle checks
-// against the single-partition non-adaptive plan across group
+// against the single-partition single-phase plan across group
 // cardinalities (collapsing, medium, ~unique), partition counts, and
 // every FUSION_AGG_BYPASS mode — plus morsel-split balance regression
 // tests for the scan sources that feed it.
@@ -61,10 +61,9 @@ catalog::TableProviderPtr MakeRandomTable(int64_t n, int64_t cardinality,
 }
 
 core::SessionContextPtr MakeSession(const catalog::TableProviderPtr& table,
-                                    int partitions, bool adaptive) {
+                                    int partitions) {
   exec::SessionConfig config;
   config.target_partitions = partitions;
-  config.enable_partitioned_aggregation = adaptive;
   // Decide the bypass within the test's data size (default probe window
   // is 100k rows).
   config.agg_bypass_probe_rows = 2000;
@@ -83,14 +82,14 @@ const char* kQueries[] = {
 
 void CheckAgainstOracle(int64_t n, int64_t cardinality, uint64_t seed) {
   auto table = MakeRandomTable(n, cardinality, seed);
-  auto reference = MakeSession(table, /*partitions=*/1, /*adaptive=*/false);
+  auto reference = MakeSession(table, /*partitions=*/1);
   for (const char* sql : kQueries) {
     ASSERT_OK_AND_ASSIGN(auto expected_batches, reference->ExecuteSql(sql));
     auto expected = SortedStringRows(expected_batches);
     for (int partitions : {1, 4}) {
       for (const char* bypass : {"off", "force", ""}) {
         ScopedBypassEnv env(bypass);
-        auto session = MakeSession(table, partitions, /*adaptive=*/true);
+        auto session = MakeSession(table, partitions);
         ASSERT_OK_AND_ASSIGN(auto batches, session->ExecuteSql(sql));
         EXPECT_EQ(SortedStringRows(batches), expected)
             << sql << " [partitions=" << partitions << " bypass="
@@ -120,7 +119,7 @@ TEST(AdaptiveAggOracleTest, NearUniqueCardinality) {
 TEST(AdaptiveAggOracleTest, BypassMetricsSurfaceInExplain) {
   auto table = MakeRandomTable(20000, 1000000, 404);
   ScopedBypassEnv env("force");
-  auto session = MakeSession(table, 4, /*adaptive=*/true);
+  auto session = MakeSession(table, 4);
   ASSERT_OK_AND_ASSIGN(
       auto batches,
       session->ExecuteSql(
@@ -189,7 +188,7 @@ TEST(MorselBalanceTest, ParallelQueryOverManyUnitsStaysCorrect) {
   // the shared queue; every row is aggregated exactly once regardless
   // of which consumer claims which morsel.
   auto table = MakeRandomTable(40 * 512, 37, 707);
-  auto session = MakeSession(table, 4, /*adaptive=*/true);
+  auto session = MakeSession(table, 4);
   ASSERT_OK_AND_ASSIGN(auto rows,
                        session->ExecuteSql("SELECT sum(cnt) FROM (SELECT k, "
                                            "count(*) AS cnt FROM r GROUP BY k)"));

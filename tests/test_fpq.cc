@@ -1,10 +1,16 @@
 // Tests for the FPQ columnar file format: round-trips, row-group and
 // page structure, zone-map and Bloom pruning, dictionary encoding, and
-// the late-materialization property that pruning never changes results.
+// the late-materialization property that pruning never changes results,
+// and corrupt footers that must be refused with a Status.
 
 #include "tests/test_util.h"
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
+
 #include "format/fpq.h"
+#include "format/fpq_internal.h"
 
 namespace fusion {
 namespace test {
@@ -281,6 +287,159 @@ TEST(FpqTest, StatsRecordedPerRowGroup) {
   EXPECT_EQ(chunk.stats.row_count, 1000);
   // value column has nulls; count recorded.
   EXPECT_GT(reader->row_group(1).columns[1].stats.null_count, 0);
+}
+
+// ------------------------------------------------------ untrusted footers
+
+/// A footer field that locates data: its name, the file offset of its
+/// little-endian U64 and the value written there.
+struct FooterField {
+  std::string name;
+  size_t pos;
+  uint64_t value;
+};
+
+/// Walk the footer of a written file in Reader::Open's order, recording
+/// every field that places rows or bytes.
+std::vector<FooterField> LocateFooterFields(const std::string& bytes) {
+  namespace internal = fpq::internal;
+  std::vector<FooterField> out;
+  uint64_t footer_len;
+  uint32_t magic;
+  std::memcpy(&footer_len, bytes.data() + bytes.size() - 12, 8);
+  std::memcpy(&magic, bytes.data() + bytes.size() - 4, 4);
+  const size_t base = bytes.size() - 12 - footer_len;
+  const auto* data = reinterpret_cast<const uint8_t*>(bytes.data()) + base;
+  internal::ByteReader r(data, footer_len);
+  auto u64 = [&](const std::string& name) {
+    const size_t pos = base + static_cast<size_t>(r.cursor() - data);
+    uint64_t v = r.U64().ValueOrDie();
+    if (!name.empty()) out.push_back({name, pos, v});
+    return v;
+  };
+  const uint32_t num_fields = r.U32().ValueOrDie();
+  std::vector<DataType> types;
+  for (uint32_t i = 0; i < num_fields; ++i) {
+    r.Str().ValueOrDie();
+    DataType type(static_cast<TypeId>(r.U8().ValueOrDie()));
+    r.U8().ValueOrDie();  // nullable
+    EXPECT_FALSE(type.is_decimal());
+    types.push_back(type);
+  }
+  u64("");  // file rows
+  const uint32_t num_rgs = r.U32().ValueOrDie();
+  for (uint32_t g = 0; g < num_rgs; ++g) {
+    u64("row group rows");
+    for (DataType type : types) {
+      r.U8().ValueOrDie();  // encoding
+      u64("chunk offset");
+      u64("chunk size");
+      u64("dictionary size");
+      internal::ReadScalar(&r, type).ValueOrDie();
+      internal::ReadScalar(&r, type).ValueOrDie();
+      u64("");  // nulls
+      if (magic == fpq::kMagicV2) u64("");  // ndv
+      u64("bloom offset");
+      if (u64("bloom size") == 0) out.erase(out.end() - 2);  // no filter to place
+      const uint32_t num_pages = r.U32().ValueOrDie();
+      for (uint32_t p = 0; p < num_pages; ++p) {
+        u64("page first row");
+        u64("page rows");
+        u64("page offset");
+        u64("page size");
+        internal::ReadScalar(&r, type).ValueOrDie();
+        internal::ReadScalar(&r, type).ValueOrDie();
+        u64("");  // nulls
+      }
+    }
+  }
+  EXPECT_EQ(r.remaining(), 0u);
+  return out;
+}
+
+/// Open the file and read everything through each decode path: Bloom
+/// probes, full row groups and predicate scans.
+Status OpenAndScan(const std::string& path) {
+  FUSION_ASSIGN_OR_RAISE(auto reader, fpq::Reader::Open(path));
+  const std::vector<int> all = {0, 1, 2};
+  const std::vector<ColumnPredicate> point = {
+      {"tag", ColumnPredicate::Op::kEq, {Scalar::String("tag3")}}};
+  const std::vector<ColumnPredicate> range = {
+      {"id", ColumnPredicate::Op::kLt, {Scalar::Int64(500)}}};
+  for (int g = 0; g < reader->num_row_groups(); ++g) {
+    FUSION_RETURN_NOT_OK(reader->RowGroupMayMatch(g, point).status());
+    FUSION_RETURN_NOT_OK(reader->ReadRowGroup(g, all).status());
+    FUSION_RETURN_NOT_OK(reader->ScanRowGroup(g, all, range).status());
+  }
+  return Status::OK();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(FpqTest, CorruptFooterFieldsReturnStatus) {
+  auto batch = MakeDataBatch(3000, 11);
+  fpq::WriteOptions options;
+  options.row_group_rows = 1000;
+  options.page_rows = 300;
+  const std::string good = "/tmp/fusion_test_footer_good.fpq";
+  const std::string bad = "/tmp/fusion_test_footer_bad.fpq";
+  ASSERT_OK(fpq::WriteFile(good, batch->schema(), {batch}, options));
+  std::string bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_OK(OpenAndScan(good));
+  auto fields = LocateFooterFields(bytes);
+  ASSERT_GT(fields.size(), 100u);
+
+  // Each field, set to a value that no longer fits the file, the chunk
+  // or the row group: Open must refuse it.
+  const uint64_t past_end = bytes.size();
+  for (const FooterField& field : fields) {
+    std::vector<uint64_t> values = {UINT64_MAX, uint64_t{1} << 63};
+    if (field.name == "row group rows" || field.name == "page first row" ||
+        field.name == "page rows") {
+      values.push_back(field.value + 1);
+    } else if (field.name == "bloom size") {
+      values.push_back(4);  // not a whole number of blocks
+    } else {
+      values.push_back(past_end);
+    }
+    for (uint64_t v : values) {
+      std::string corrupt = bytes;
+      std::memcpy(corrupt.data() + field.pos, &v, 8);
+      WriteBytes(bad, corrupt);
+      Status st = OpenAndScan(bad);
+      EXPECT_TRUE(st.IsIOError())
+          << field.name << " at " << field.pos << " = " << v << ": "
+          << st.ToString();
+    }
+  }
+
+  // Seeded random byte overwrites anywhere in the footer and trailer:
+  // any outcome but a crash (or a sanitizer report) is acceptable.
+  std::mt19937 rng(20240617);
+  uint64_t footer_len;
+  std::memcpy(&footer_len, bytes.data() + bytes.size() - 12, 8);
+  const size_t footer_start = bytes.size() - 12 - footer_len;
+  int refused = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string corrupt = bytes;
+    const int flips = 1 + static_cast<int>(rng() % 3);
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = footer_start + rng() % (footer_len + 8);
+      corrupt[pos] = static_cast<char>(rng() & 0xff);
+    }
+    WriteBytes(bad, corrupt);
+    if (!OpenAndScan(bad).ok()) ++refused;
+  }
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(JoinPropertyTest, CrossJoinCount) {
 TEST(GroupByPropertyTest, MatchesMapOracle) {
   // Random multi-column GROUP BY cross-checked against an
   // unordered_map oracle, at 1 and 4 target partitions (the latter
-  // exercising the partial -> repartition -> final plan).
+  // exercising PartitionedAggregateExec's radix-partitioned merge).
   std::mt19937 rng(99);
   for (int trial = 0; trial < 8; ++trial) {
     const int64_t n = 50 + rng() % 400;

@@ -161,7 +161,8 @@ TEST(ExchangeTest, RepartitionPreservesAllRows) {
   exec::SessionConfig config;
   config.target_partitions = 4;
   auto ctx = MakeTestSession(1000, config);
-  // Two-phase aggregation exercises hash repartitioning end to end.
+  // Two-phase aggregation exercises the radix-partitioned merge end to
+  // end.
   ASSERT_OK_AND_ASSIGN(
       auto batches,
       ctx->ExecuteSql("SELECT grp, count(*) AS c FROM t GROUP BY grp"));
@@ -173,7 +174,7 @@ TEST(ExchangeTest, RepartitionPreservesAllRows) {
 }
 
 TEST(ExchangeTest, LimitAbandonsExchangeWithoutHanging) {
-  // Regression: LIMIT above a repartitioned aggregation must terminate
+  // Regression: LIMIT above a partitioned aggregation must terminate
   // even though the exchange producers still hold batches.
   exec::SessionConfig config;
   config.target_partitions = 4;
@@ -186,10 +187,10 @@ TEST(ExchangeTest, LimitAbandonsExchangeWithoutHanging) {
 
 
 TEST(ExchangeTest, SeriallyConsumedRepartitionDoesNotDeadlock) {
-  // Regression: per-partition sorts above a hash repartition are opened
-  // one at a time by the sort-preserving merge; with bounded exchange
-  // queues the producers deadlocked once partition B's queue filled
-  // while partition A's consumer still awaited end-of-stream.
+  // Regression: per-partition sorts above a partitioned aggregation are
+  // opened one at a time by the sort-preserving merge, so the
+  // aggregate's output partitions must not depend on being consumed
+  // concurrently.
   exec::SessionConfig config;
   config.target_partitions = 3;
   auto ctx = MakeTestSession(60000, config);
@@ -378,9 +379,60 @@ TEST(FairPoolTest, QueryFailsCleanlyWhenShareExceeded) {
 }
 
 
+/// The physical half of `EXPLAIN sql`.
+std::string ExplainPhysical(const core::SessionContextPtr& ctx,
+                            const std::string& sql) {
+  auto batches = ctx->ExecuteSql("EXPLAIN " + sql);
+  EXPECT_TRUE(batches.ok()) << batches.status().ToString();
+  if (!batches.ok() || TotalRows(*batches) != 1) return "";
+  std::string text = (*batches)[0]->column(0)->ValueToString(0);
+  const std::string marker = "== Physical Plan ==";
+  const size_t at = text.find(marker);
+  return at == std::string::npos ? "" : text.substr(at + marker.size());
+}
+
+TEST(AggregatePlanTest, OneGroupedAggregationPath) {
+  // Multi-partition GROUP BY and DISTINCT plan PartitionedAggregateExec
+  // alone; a global aggregate merges per-partition partials through a
+  // coalesce; one partition plans a single-phase hash aggregate for all.
+  const std::string group_by = "SELECT grp, sum(v) FROM t GROUP BY grp";
+  const std::string distinct = "SELECT DISTINCT grp FROM t";
+  const std::string global = "SELECT sum(v), count(*) FROM t";
+  exec::SessionConfig config;
+  config.target_partitions = 4;
+  auto ctx = MakeTestSession(200, config);
+  for (const auto& sql : {group_by, distinct}) {
+    std::string plan = ExplainPhysical(ctx, sql);
+    EXPECT_NE(plan.find("PartitionedAggregateExec"), std::string::npos)
+        << sql << plan;
+    EXPECT_EQ(plan.find("HashAggregateExec"), std::string::npos) << sql << plan;
+  }
+  std::string plan = ExplainPhysical(ctx, global);
+  EXPECT_NE(plan.find("HashAggregateExec(final)"), std::string::npos) << plan;
+  const size_t coalesce = plan.find("CoalescePartitionsExec");
+  ASSERT_NE(coalesce, std::string::npos) << plan;
+  const size_t next_line = plan.find('\n', coalesce);
+  ASSERT_NE(next_line, std::string::npos) << plan;
+  EXPECT_EQ(plan.find("HashAggregateExec(partial)", next_line),
+            plan.find_first_not_of(' ', next_line + 1))
+      << "partials must sit directly under the coalesce:" << plan;
+
+  config.target_partitions = 1;
+  auto single = MakeTestSession(200, config);
+  for (const auto& sql : {group_by, distinct, global}) {
+    std::string plan1 = ExplainPhysical(single, sql);
+    EXPECT_NE(plan1.find("HashAggregateExec(single)"), std::string::npos)
+        << sql << plan1;
+    EXPECT_EQ(plan1.find("PartitionedAggregateExec"), std::string::npos)
+        << sql << plan1;
+    EXPECT_EQ(plan1.find("CoalescePartitionsExec"), std::string::npos)
+        << sql << plan1;
+  }
+}
+
 TEST(StreamingAggTest, SelectedForKeyOrderedInput) {
-  // Order-based plan selection: pin to one partition, since hash
-  // repartitioning discards the declared sort order.
+  // Order-based plan selection: pin to one partition, since the
+  // multi-partition aggregate discards the declared sort order.
   exec::SessionConfig config;
   config.target_partitions = 1;
   auto ctx = MakeTestSession(100, config);  // t is sorted by id

@@ -126,60 +126,82 @@ TEST(BatchQueueTest, ErrorBeforeData) {
 }
 
 TEST(BatchQueueTest, ErrorAfterData) {
-  physical::BatchQueue queue(4);
-  queue.AddProducer();
-  queue.Push(MakeIntBatch(0, 8));
-  queue.PushError(Status::ExecutionError("mid-stream"));
-  queue.ProducerDone();
+  exec::QueryScheduler sched(1);
+  auto group = sched.MakeGroup();
+  auto queue = std::make_shared<physical::BatchQueue>(4, nullptr, group);
+  queue->AddProducer();
+  group->SpawnResumable([queue](const exec::Waker& waker) {
+    RecordBatchPtr batch = MakeIntBatch(0, 8);
+    EXPECT_TRUE(queue->PushOrPark(&batch, waker));
+    queue->PushError(Status::ExecutionError("mid-stream"));
+    queue->ProducerDone();
+    return exec::TaskStatus::kDone;
+  });
+  ASSERT_OK(group->Finish());
   // The error preempts buffered data: a consumer never sees a
   // truncated-but-OK stream.
-  auto res = queue.Pop();
+  auto res = queue->Pop();
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsExecutionError());
 }
 
 TEST(BatchQueueTest, CloseUnblocksBlockedProducers) {
-  auto queue = std::make_shared<physical::BatchQueue>(1);
+  exec::QueryScheduler sched(1);
+  auto group = sched.MakeGroup();
+  auto queue = std::make_shared<physical::BatchQueue>(1, nullptr, group);
   queue->AddProducer();
-  std::atomic<int> pushed{0};
-  std::thread producer([queue, &pushed] {
-    for (int i = 0; i < 100; ++i) {
-      queue->Push(MakeIntBatch(i, 4));  // blocks at capacity 1
-      pushed.fetch_add(1);
-    }
-    queue->ProducerDone();
-  });
-  // Let the producer fill the queue and block.
-  while (pushed.load() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  auto progress = std::make_shared<ProducerProgress>();
+  SpawnProducer(group, queue, 100, progress);
+  // Let the producer fill the queue and park.
+  while (progress->parks.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   queue->Close();
-  producer.join();  // must not hang: pushes become drops after Close
+  // Must not hang: the parked producer is woken and every later push is
+  // a drop.
+  ASSERT_OK(group->Finish());
+  EXPECT_EQ(progress->pushed.load(), 100);
+  EXPECT_EQ(progress->parks.load(), 1);
   EXPECT_TRUE(queue->closed());
   ASSERT_OK_AND_ASSIGN(auto batch, queue->Pop());
   EXPECT_EQ(batch, nullptr);  // closed queue reads as end-of-stream
 }
 
 TEST(BatchQueueTest, CancelUnblocksConsumerAndProducer) {
-  auto token = exec::CancellationToken::Make();
-  auto queue = std::make_shared<physical::BatchQueue>(1, token);
-  queue->AddProducer();
-
-  // Blocked consumer (empty queue) is woken by the cancellation
-  // listener the moment Cancel latches — no polling tick to wait out.
-  std::thread canceller([token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  exec::QueryScheduler sched(1);
+  auto group = sched.MakeGroup();
+  {
+    // Blocked consumer (empty queue) is woken by the cancellation
+    // listener the moment Cancel latches — no polling tick to wait out.
+    auto token = exec::CancellationToken::Make();
+    auto queue = std::make_shared<physical::BatchQueue>(1, token, group);
+    queue->AddProducer();
+    std::thread canceller([token] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      token->Cancel();
+    });
+    auto start = Clock::now();
+    auto res = queue->Pop();
+    canceller.join();
+    ASSERT_FALSE(res.ok());
+    EXPECT_TRUE(res.status().IsCancelled());
+    EXPECT_LT(ElapsedMs(start), 1000);
+  }
+  {
+    // Parked producer (full queue) is woken too; its push is dropped.
+    auto token = exec::CancellationToken::Make();
+    auto queue = std::make_shared<physical::BatchQueue>(1, token, group);
+    queue->AddProducer();
+    auto progress = std::make_shared<ProducerProgress>();
+    SpawnProducer(group, queue, 2, progress);
+    while (progress->parks.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     token->Cancel();
-  });
-  auto start = Clock::now();
-  auto res = queue->Pop();
-  canceller.join();
-  ASSERT_FALSE(res.ok());
-  EXPECT_TRUE(res.status().IsCancelled());
-  EXPECT_LT(ElapsedMs(start), 1000);
-
-  // Blocked producer (full queue) also unblocks; its push is dropped.
-  queue->Push(MakeIntBatch(0, 1));
-  queue->Push(MakeIntBatch(1, 1));  // would block forever if not cancelled
-  queue->ProducerDone();
+    ASSERT_OK(group->Finish());  // would wait forever if not woken
+    EXPECT_EQ(progress->pushed.load(), 2);
+    EXPECT_EQ(progress->parks.load(), 1);
+  }
 }
 
 // -------------------------------------------- exchange operator teardown
@@ -276,23 +298,6 @@ TEST(CoalesceTest, ConsumerAbandonsMidStream) {
     EXPECT_NE(batch, nullptr);
     // Stream dropped here with ~4M batches unproduced; the producer
     // tasks must see the closed queue and finish promptly, not drain.
-  }
-  EXPECT_LT(ElapsedMs(start), 5000);
-}
-
-TEST(RepartitionTest, AbandonMidStream) {
-  auto source = std::make_shared<ScriptedSourceExec>(2, 1 << 20);
-  auto ctx = MakeBareExecContext();
-  auto start = Clock::now();
-  {
-    auto plan = std::make_shared<physical::RepartitionExec>(
-        source, 4, physical::RepartitionExec::Mode::kRoundRobin);
-    ASSERT_OK_AND_ASSIGN(auto stream, plan->Execute(0, ctx));
-    ASSERT_OK_AND_ASSIGN(auto batch, stream->Next());
-    EXPECT_NE(batch, nullptr);
-    // Plan + stream destroyed with 3 partitions never consumed; the
-    // RepartitionExec destructor closes the queues so the producer
-    // tasks stop at the next push.
   }
   EXPECT_LT(ElapsedMs(start), 5000);
 }

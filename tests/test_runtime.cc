@@ -1,12 +1,11 @@
-// Tests for the runtime primitives: Status/Result, the thread pool, and
-// the exchange BatchQueue.
+// Tests for the runtime primitives: Status/Result and the exchange
+// BatchQueue.
 
 #include "tests/test_util.h"
 
 #include <atomic>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "physical/exchange_exec.h"
 
 namespace fusion {
@@ -55,73 +54,23 @@ TEST(ResultTest, MacroPropagation) {
   EXPECT_TRUE(outer(true).status().IsInvalid());
 }
 
-TEST(ThreadPoolTest, RunAllExecutesEverythingAndReportsFirstError) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::function<Status()>> tasks;
-  for (int i = 0; i < 20; ++i) {
-    tasks.push_back([&counter, i]() -> Status {
-      counter.fetch_add(1);
-      if (i == 7) return Status::Internal("task 7 exploded");
-      return Status::OK();
-    });
-  }
-  Status st = pool.RunAll(std::move(tasks));
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(counter.load(), 20);  // error does not cancel siblings
-}
-
-TEST(ThreadPoolTest, SubmitReturnsFuture) {
-  ThreadPool pool(2);
-  auto fut = pool.Submit([]() -> Status { return Status::Cancelled("stop"); });
-  EXPECT_EQ(fut.get().code(), StatusCode::kCancelled);
-}
-
-TEST(ThreadPoolTest, NestedRunAllDoesNotDeadlockSaturatedPool) {
-  // Regression: with a 2-worker pool, outer tasks occupy every worker
-  // and each calls RunAll again (nested collect); the inner tasks used
-  // to sit in the queue forever while the workers blocked on their
-  // futures. RunAll now help-drains the queue while waiting.
-  ThreadPool pool(2);
-  std::atomic<int> inner_runs{0};
-  std::vector<std::function<Status()>> outer;
-  for (int i = 0; i < 4; ++i) {
-    outer.push_back([&pool, &inner_runs]() -> Status {
-      std::vector<std::function<Status()>> inner;
-      for (int j = 0; j < 4; ++j) {
-        inner.push_back([&inner_runs]() -> Status {
-          inner_runs.fetch_add(1);
-          return Status::OK();
-        });
-      }
-      return pool.RunAll(std::move(inner));
-    });
-  }
-  ASSERT_OK(pool.RunAll(std::move(outer)));
-  EXPECT_EQ(inner_runs.load(), 16);
-}
-
 TEST(BatchQueueTest, ProducerConsumerEndToEnd) {
-  physical::BatchQueue queue(4);
-  queue.AddProducer();
-  auto schema = fusion::schema({Field("x", int64(), false)});
-  std::thread producer([&] {
-    for (int i = 0; i < 10; ++i) {
-      auto batch = std::make_shared<RecordBatch>(
-          schema, 1, std::vector<ArrayPtr>{MakeInt64Array({i})});
-      queue.Push(std::move(batch));
-    }
-    queue.ProducerDone();
-  });
+  exec::QueryScheduler sched(2);
+  auto group = sched.MakeGroup();
+  auto queue = std::make_shared<physical::BatchQueue>(4, nullptr, group);
+  queue->AddProducer();
+  auto progress = std::make_shared<ProducerProgress>();
+  SpawnProducer(group, queue, 10, progress);
   int64_t seen = 0;
   for (;;) {
-    auto batch = queue.Pop();
+    auto batch = queue->Pop();
     ASSERT_OK(batch.status());
     if (*batch == nullptr) break;
+    EXPECT_EQ((*batch)->column(0)->ValueToString(0), std::to_string(seen));
     ++seen;
   }
   EXPECT_EQ(seen, 10);
-  producer.join();
+  ASSERT_OK(group->Finish());
 }
 
 TEST(BatchQueueTest, ErrorPropagatesToConsumer) {
@@ -133,29 +82,25 @@ TEST(BatchQueueTest, ErrorPropagatesToConsumer) {
 }
 
 TEST(BatchQueueTest, CloseUnblocksFullProducer) {
-  physical::BatchQueue queue(1);
-  queue.AddProducer();
-  auto schema = fusion::schema({Field("x", int64(), false)});
-  auto make = [&] {
-    return std::make_shared<RecordBatch>(
-        schema, 1, std::vector<ArrayPtr>{MakeInt64Array({0})});
-  };
-  queue.Push(make());  // fills capacity
-  std::atomic<bool> second_push_returned{false};
-  std::thread producer([&] {
-    queue.Push(make());  // blocks until Close
-    second_push_returned.store(true);
-    queue.ProducerDone();
-  });
-  // Give the producer a moment to block, then close.
-  for (int i = 0; i < 100 && !second_push_returned.load(); ++i) {
+  exec::QueryScheduler sched(1);
+  auto group = sched.MakeGroup();
+  auto queue = std::make_shared<physical::BatchQueue>(1, nullptr, group);
+  queue->AddProducer();
+  auto progress = std::make_shared<ProducerProgress>();
+  // The first batch fills capacity; the second parks the producer.
+  SpawnProducer(group, queue, 2, progress);
+  while (progress->parks.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (i == 10) queue.Close();
   }
-  producer.join();
-  EXPECT_TRUE(second_push_returned.load());
-  // A closed queue pops end-of-stream.
-  auto result = queue.Pop();
+  EXPECT_EQ(progress->pushed.load(), 1);
+  queue->Close();
+  // Close wakes the parked producer, whose retried push is dropped; the
+  // task then finishes instead of parking forever.
+  ASSERT_OK(group->Finish());
+  EXPECT_EQ(progress->pushed.load(), 2);
+  EXPECT_EQ(progress->parks.load(), 1);
+  // A closed queue pops end-of-stream: nothing buffered survives.
+  auto result = queue->Pop();
   ASSERT_OK(result.status());
   EXPECT_EQ(*result, nullptr);
 }

@@ -256,10 +256,10 @@ TEST(TaskGroupTest, DeadlineExpiryInHelpOrWaitDoesNotSelfDeadlock) {
 }
 
 TEST(SchedulerTest, SingleWorkerRunsPartitionedQueryToCompletion) {
-  // The hardest deadlock case: 4 partitions' drivers, repartition
-  // producers and a coalesce all multiplexed onto ONE worker plus the
-  // calling thread. Progress relies entirely on cooperative
-  // help/park — any true blocking wait would hang here.
+  // The hardest deadlock case: 4 partitions' drivers, the partitioned
+  // aggregate's shared build and a coalesce all multiplexed onto ONE
+  // worker plus the calling thread. Progress relies entirely on
+  // cooperative help/park — any true blocking wait would hang here.
   auto sched = std::make_shared<QueryScheduler>(1);
   auto session = MakeScheduledSession(300, FourPartitionConfig(), sched);
   ASSERT_OK_AND_ASSIGN(

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "arrow/builder.h"
 #include "catalog/memory_table.h"
 #include "core/session_context.h"
+#include "physical/exchange_exec.h"
 
 #define ASSERT_OK(expr)                                   \
   do {                                                    \
@@ -102,6 +105,40 @@ inline core::SessionContextPtr MakeTestSession(int64_t n = 100,
   table->SetSortOrder({{"id", {}}});
   ctx->RegisterTable("t", table).Abort();
   return ctx;
+}
+
+/// Counters of one producer task spawned by SpawnProducer.
+struct ProducerProgress {
+  std::atomic<int> pushed{0};  // PushOrPark calls that took the batch
+  std::atomic<int> parks{0};   // times the task parked on a full queue
+};
+
+/// Spawn a resumable task that pushes `batches` one-row batches through
+/// PushOrPark, parking whenever the queue is full, then signs off with
+/// ProducerDone.
+inline void SpawnProducer(const exec::TaskGroupPtr& group,
+                          const std::shared_ptr<physical::BatchQueue>& queue,
+                          int batches,
+                          const std::shared_ptr<ProducerProgress>& progress) {
+  auto schema = fusion::schema({Field("x", int64(), false)});
+  auto pending = std::make_shared<RecordBatchPtr>();
+  group->SpawnResumable([=](const exec::Waker& waker) {
+    while (progress->pushed.load() < batches) {
+      if (*pending == nullptr) {
+        *pending = std::make_shared<RecordBatch>(
+            schema, 1,
+            std::vector<ArrayPtr>{MakeInt64Array({progress->pushed.load()})});
+      }
+      if (!queue->PushOrPark(pending.get(), waker)) {
+        progress->parks.fetch_add(1);
+        return exec::TaskStatus::kParked;
+      }
+      EXPECT_EQ(*pending, nullptr);  // pushed or dropped, never kept
+      progress->pushed.fetch_add(1);
+    }
+    queue->ProducerDone();
+    return exec::TaskStatus::kDone;
+  });
 }
 
 }  // namespace test
